@@ -1,8 +1,8 @@
-"""Distributed VUG pipeline benchmark (full DataFrame path, one query).
+"""Spark VUG benchmarks: one query over a DataFrame, and the query-parallel runner.
 
-Uses D8 at test scale: its compressed timestamp domain (|T| = 2θ = 20)
-keeps the TCV timestamp-sweep to a bounded number of Spark rounds while
-still exercising every phase of the dataflow.
+The single query runs on D8 at test scale (query seed 17): Spark projects
+the θ-window out of the edge DataFrame and the kernel answers on the
+collected window.
 """
 from benchmarks._bench_common import one_shot
 
@@ -14,24 +14,19 @@ from repro.workload import generate_queries
 
 
 def test_vug_dataflow_single_query(benchmark, spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    try:
-        pdf = make_dataset("D8", scale="test", seed=0)
-        adj = TemporalAdjacency(pdf_to_edge_list(pdf))
-        q = generate_queries(
-            adj, theta=DATASETS["D8"].theta, n_queries=1, seed=17
-        )[0]
-        edf = edges_to_spark(spark, pdf).cache()
-        edf.count()
+    pdf = make_dataset("D8", scale="test", seed=0)
+    adj = TemporalAdjacency(pdf_to_edge_list(pdf))
+    q = generate_queries(
+        adj, theta=DATASETS["D8"].theta, n_queries=1, seed=17
+    )[0]
+    edf = edges_to_spark(spark, pdf).cache()
+    edf.count()
 
-        def run():
-            return spark_edges_to_list(vug_dataflow(spark, edf, q))
+    def run():
+        return spark_edges_to_list(vug_dataflow(spark, edf, q))
 
-        got = one_shot(benchmark, run)
-        assert got == vug_local(adj, q).edges
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", old)
+    got = one_shot(benchmark, run)
+    assert got == vug_local(adj, q).edges
 
 
 def test_spark_workload_parallel_vug(benchmark, spark):

@@ -1,8 +1,8 @@
-"""Run one tspG query through the fully distributed VUG pipeline.
+"""Run one tspG query through the Spark VUG pipeline.
 
-Demonstrates the DataFrame-only path (polarity fixpoint joins → QuickUBG
-filter → TCV sweeps → TightUBG filter → parallel EEV) on a bench dataset
-and cross-checks it against the local kernel.
+``vug_dataflow`` takes the edge DataFrame, projects the θ-window in Spark,
+collects it and runs the VUG kernel on it.  The job does this for one query
+per dataset and cross-checks the answer against the kernel on the whole graph.
 """
 from _common import emit, get_spark, make_parser, parse_scale
 
@@ -43,7 +43,7 @@ def main() -> None:
         )
     emit(
         "vug_dataflow_single_query",
-        "Distributed VUG pipeline — single query per dataset",
+        "Spark VUG pipeline — single query per dataset",
         rows,
         COLUMNS,
     )

@@ -1,4 +1,4 @@
-"""Polarity time computation (paper Alg. 3) — local kernel and dataflow.
+"""Polarity time computation (paper Alg. 3).
 
 ``A(u)`` (earliest arrival) is the smallest arrival timestamp over temporal
 paths ``s → u`` within ``[τb, τe]`` that do not pass through ``t``;
@@ -12,19 +12,11 @@ timestamp-sorted neighbor lists.  ``A(u)`` only ever decreases, and the
 admissible out-edges (``τ > A(u)``) form a growing suffix of the
 descending-τ list, so a per-vertex pointer touches each edge once — the
 paper's O(n+m) bound.
-
-Dataflow: a min-fixpoint (resp. max-fixpoint) label propagation expressed as
-iterative DataFrame joins.  Arrival strictly increases along a path, so the
-fixpoint is reached in at most θ rounds; we also stop as soon as a round
-changes nothing.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Dict, Tuple
-
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graph.adjacency import TemporalAdjacency
 
@@ -154,98 +146,3 @@ def polarity_times(
         arrival_times(adj, s, t, tb, te),
         departure_times(adj, s, t, tb, te),
     )
-
-
-def _theta(tb: int, te: int) -> int:
-    return te - tb + 1
-
-
-def arrival_times_df(
-    spark: SparkSession, edges: DataFrame, s: int, t: int, tb: int, te: int
-) -> DataFrame:
-    """Distributed A(·): columns ``(v, arrival)``, one row per reachable vertex.
-
-    Each round relaxes every edge whose source already has a label:
-    ``A(v) ← min(A(v), min{τ : e(u,v,τ), A(u) < τ ≤ τe, u ≠ t, v ≠ t})``.
-    A temporal path makes one strict timestamp step per hop, so θ rounds
-    suffice; the loop exits early at the first unchanged round.
-    """
-    win = edges.where(
-        (F.col("ts") >= F.lit(int(tb))) & (F.col("ts") <= F.lit(int(te)))
-    )
-    win = win.where((F.col("src") != F.lit(int(t))) & (F.col("dst") != F.lit(int(t))))
-    labels = spark.createDataFrame([(int(s), int(tb) - 1)], "v long, arrival long")
-    labels = labels.localCheckpoint(eager=True)
-    for _ in range(_theta(tb, te)):
-        cand = (
-            win.join(labels, win.src == labels.v)
-            .where(F.col("ts") > F.col("arrival"))
-            .groupBy(F.col("dst").alias("v"))
-            .agg(F.min("ts").alias("cand"))
-        )
-        merged = (
-            labels.join(cand, "v", "full_outer")
-            .select(
-                "v",
-                F.least(
-                    F.coalesce("arrival", F.lit(int(te) + 1)),
-                    F.coalesce("cand", F.lit(int(te) + 1)),
-                ).alias("arrival"),
-            )
-        )
-        merged = merged.localCheckpoint(eager=True)
-        # Converged when no vertex got a new/smaller label.
-        changed = (
-            merged.alias("m")
-            .join(labels.alias("l"), "v", "left_anti")
-            .count()
-            + merged.alias("m")
-            .join(labels.alias("l"), "v")
-            .where(F.col("m.arrival") < F.col("l.arrival"))
-            .count()
-        )
-        labels = merged
-        if changed == 0:
-            break
-    return labels
-
-
-def departure_times_df(
-    spark: SparkSession, edges: DataFrame, s: int, t: int, tb: int, te: int
-) -> DataFrame:
-    """Distributed D(·): columns ``(v, departure)`` — mirror of arrival."""
-    win = edges.where(
-        (F.col("ts") >= F.lit(int(tb))) & (F.col("ts") <= F.lit(int(te)))
-    )
-    win = win.where((F.col("src") != F.lit(int(s))) & (F.col("dst") != F.lit(int(s))))
-    labels = spark.createDataFrame([(int(t), int(te) + 1)], "v long, departure long")
-    labels = labels.localCheckpoint(eager=True)
-    for _ in range(_theta(tb, te)):
-        cand = (
-            win.join(labels, win.dst == labels.v)
-            .where(F.col("ts") < F.col("departure"))
-            .groupBy(F.col("src").alias("v"))
-            .agg(F.max("ts").alias("cand"))
-        )
-        merged = (
-            labels.join(cand, "v", "full_outer")
-            .select(
-                "v",
-                F.greatest(
-                    F.coalesce("departure", F.lit(int(tb) - 1)),
-                    F.coalesce("cand", F.lit(int(tb) - 1)),
-                ).alias("departure"),
-            )
-        )
-        merged = merged.localCheckpoint(eager=True)
-        changed = (
-            merged.join(labels, "v", "left_anti").count()
-            + merged.alias("m")
-            .join(labels.alias("l"), "v")
-            .where(F.col("m.departure") > F.col("l.departure"))
-            .count()
-        )
-        labels = merged
-        if changed == 0:
-            break
-    return labels

@@ -2,8 +2,11 @@
 
 ``vug_local`` is the exact per-query kernel with per-phase wall timings —
 the unit of work that the evaluation harness parallelizes across queries.
-``vug_dataflow`` is the fully distributed pipeline (DataFrame in,
-tspG-edge DataFrame out) built from the ``*_df`` phase implementations.
+``vug_dataflow`` is the same query over a Spark edge table (DataFrame in,
+tspG-edge DataFrame out): Spark does the one data-parallel step, projecting
+the θ-window out of the big edge table, and the kernel answers on the
+collected window.  Every VUG phase only reads edges inside ``[τb, τe]``, so
+the window gives the same answer as the whole graph.
 """
 from __future__ import annotations
 
@@ -13,22 +16,18 @@ from typing import Dict, List, Set
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.eev import eev, eev_df
-from repro.core.polarity import (
-    arrival_times_df,
-    departure_times_df,
-    polarity_times,
-)
-from repro.core.quick_ubg import quick_ubg_df, quick_ubg_edges
-from repro.core.tcv import (
-    tcv_from_source,
-    tcv_from_source_df,
-    tcv_to_target,
-    tcv_to_target_df,
-)
-from repro.core.tight_ubg import tight_ubg, tight_ubg_df
+from repro.core.eev import eev
+from repro.core.polarity import polarity_times
+from repro.core.quick_ubg import quick_ubg_edges
+from repro.core.tcv import tcv_from_source, tcv_to_target
+from repro.core.tight_ubg import tight_ubg
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import Edge
+from repro.graph.schema import (
+    EDGE_SCHEMA,
+    Edge,
+    project_window_df,
+    spark_edges_to_list,
+)
 from repro.workload import Query
 
 
@@ -51,6 +50,15 @@ class VugLocalResult:
 
 def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
     """Run the full VUG kernel for one query on a local adjacency."""
+    if q.s == q.t:
+        # A simple path cannot return to s, so no s → s path exists.  The
+        # phases below assume s ≠ t: Lemma 2 would keep every s-out and
+        # t-in edge, which here are cycle edges.
+        return VugLocalResult(
+            edges=[],
+            timings={"quick": 0.0, "tight": 0.0, "eev": 0.0},
+            sizes={"gq": 0, "gt": 0, "tspg": 0},
+        )
     t0 = time.perf_counter()
     A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
     gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
@@ -68,29 +76,14 @@ def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
     )
 
 
-def quick_ubg_dataflow(
-    spark: SparkSession, edges: DataFrame, q: Query
-) -> DataFrame:
-    """Distributed QuickUBG: polarity fixpoints + Lemma-1 edge filter."""
-    arrival = arrival_times_df(spark, edges, q.s, q.t, q.tb, q.te)
-    departure = departure_times_df(spark, edges, q.s, q.t, q.tb, q.te)
-    return quick_ubg_df(edges, arrival, departure)
-
-
-def tight_ubg_dataflow(
-    spark: SparkSession, gq: DataFrame, q: Query
-) -> DataFrame:
-    """Distributed TightUBG: TCV sweeps + Lemma-9 filter."""
-    gq = gq.localCheckpoint(eager=True)
-    tcv_s = tcv_from_source_df(spark, gq, q.s, q.t)
-    tcv_t = tcv_to_target_df(spark, gq, q.s, q.t)
-    return tight_ubg_df(gq, tcv_s, tcv_t, q.s, q.t)
-
-
 def vug_dataflow(
     spark: SparkSession, edges: DataFrame, q: Query
 ) -> DataFrame:
-    """Full distributed VUG pipeline; returns the tspG edge DataFrame."""
-    gq = quick_ubg_dataflow(spark, edges, q)
-    gt = tight_ubg_dataflow(spark, gq, q)
-    return eev_df(spark, gt, q.s, q.t, q.tb, q.te)
+    """VUG over a Spark edge table; returns the tspG edge DataFrame.
+
+    One Spark job filters and collects the θ-window; ``vug_local`` runs on
+    it.  The explicit schema keeps an empty tspG a typed DataFrame.
+    """
+    window = spark_edges_to_list(project_window_df(edges, q.tb, q.te))
+    res = vug_local(TemporalAdjacency(window), q)
+    return spark.createDataFrame(res.edges, schema=EDGE_SCHEMA)

@@ -26,8 +26,7 @@ from repro.baselines.enumeration import (
 from repro.baselines.ep import EP_VARIANTS, ep_run
 from repro.baselines.reductions import dt_tsg, es_tsg, tg_tsg
 from repro.core.eev import eev
-from repro.core.polarity import polarity_times
-from repro.core.quick_ubg import quick_ubg_edges
+from repro.core.quick_ubg import quick_ubg
 from repro.core.tight_ubg import tight_ubg
 from repro.core.vug import vug_local
 from repro.graph.adjacency import TemporalAdjacency
@@ -104,29 +103,22 @@ def query_metrics(
         # times tgTSG vs QuickUBG (Exp-5) since both are computed anyway.
         t0 = time.perf_counter()
         tg = tg_tsg(adj, q.s, q.t, q.tb, q.te)
-        t1 = time.perf_counter()
-        A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
-        gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
-        t2 = time.perf_counter()
-        gt = tight_ubg(gq, q.s, q.t)
-        t3 = time.perf_counter()
-        tspg = eev(gt, q.s, q.t, q.tb, q.te)
+        tg_s = time.perf_counter() - t0
+        res = vug_local(adj, q)
         row.update(
-            tg_s=t1 - t0,
-            quick_s=t2 - t1,
-            tight_s=t3 - t2,
+            tg_s=tg_s,
+            quick_s=res.timings["quick"],
+            tight_s=res.timings["tight"],
             n_dt=dt_tsg(adj, q.tb, q.te).m,
             n_es=es_tsg(adj, q.s, q.t, q.tb, q.te).m,
             n_tg=tg.m,
-            n_gq=gq.m,
-            n_gt=gt.m,
-            n_tspg=len(tspg),
+            n_gq=res.sizes["gq"],
+            n_gt=res.sizes["gt"],
+            n_tspg=res.sizes["tspg"],
         )
     elif algo == "EXP6":
         # EEV vs enumeration, both applied to the same Gt (paper Exp-6).
-        A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
-        gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
-        gt = tight_ubg(gq, q.s, q.t)
+        gt = tight_ubg(quick_ubg(adj, q.s, q.t, q.tb, q.te), q.s, q.t)
         t0 = time.perf_counter()
         tspg = eev(gt, q.s, q.t, q.tb, q.te)
         t1 = time.perf_counter()

@@ -1,14 +1,20 @@
-"""Distributed dataflow phases on the paper's running example, cross-checked
-against the hand-derived expectations and the DuckDB recursive-CTE oracle."""
-import pandas as pd
-import pytest
-from pyspark.sql import functions as F
+"""The Spark dataflow on the paper's running example, cross-checked against
+the hand-derived expectations and the DuckDB recursive-CTE oracle.
 
-from repro.core.eev import eev_df
-from repro.core.polarity import arrival_times_df, departure_times_df
-from repro.core.quick_ubg import quick_ubg_df
-from repro.core.tcv import tcv_from_source_df, tcv_to_target_df
-from repro.core.vug import quick_ubg_dataflow, tight_ubg_dataflow, vug_dataflow
+``vug_dataflow`` projects the θ-window in Spark and runs the kernel on the
+collected window.  The edge table here is Fig. 1a plus edges just outside
+``[τb, τe]``, so the projection has something to drop; every phase computed
+on the projected window must still reproduce Figs 1, 3 and 4.
+"""
+import pytest
+
+from repro.core.eev import eev
+from repro.core.polarity import arrival_times, departure_times
+from repro.core.quick_ubg import quick_ubg, quick_ubg_edges
+from repro.core.tcv import tcv_from_source, tcv_to_target
+from repro.core.tight_ubg import tight_ubg
+from repro.core.vug import vug_dataflow
+from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.duck_oracle import arrival_sql, departure_sql, tspg_sql
 from repro.graph.schema import (
     edges_to_pdf,
@@ -20,6 +26,9 @@ from repro.oracle import assert_equivalent
 from repro.workload import Query
 
 from tests.example_graph import (
+    A,
+    C,
+    E,
     EDGES,
     EXPECTED_ARRIVAL,
     EXPECTED_DEPARTURE,
@@ -36,53 +45,56 @@ from tests.example_graph import (
 
 Q = Query(S, T, TB, TE)
 
-
-@pytest.fixture(scope="module", autouse=True)
-def _few_partitions(spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
+# One step outside the window on either side; inside it they would add the
+# s → t paths s-c-t, s-a-t and s-b-c-f-e-t.
+OUTSIDE = [(S, C, TB - 1), (A, T, TE + 1), (E, T, TE + 1)]
+EDGES_PDF = edges_to_pdf(EDGES + OUTSIDE)
 
 
 @pytest.fixture(scope="module")
 def edges_df(spark):
-    return edges_to_spark(spark, edges_to_pdf(EDGES)).cache()
+    return edges_to_spark(spark, EDGES_PDF).cache()
 
 
 @pytest.fixture(scope="module")
-def gq_df(spark, edges_df):
-    return quick_ubg_dataflow(spark, edges_df, Q).localCheckpoint(eager=True)
-
-
-def test_arrival_df_matches_fig3a(spark, edges_df):
-    got = {
-        int(r.v): int(r.arrival)
-        for r in arrival_times_df(spark, edges_df, S, T, TB, TE).collect()
-    }
-    assert got == EXPECTED_ARRIVAL
-
-
-def test_departure_df_matches_fig3b(spark, edges_df):
-    got = {
-        int(r.v): int(r.departure)
-        for r in departure_times_df(spark, edges_df, S, T, TB, TE).collect()
-    }
-    assert got == EXPECTED_DEPARTURE
-
-
-def test_arrival_df_vs_duckdb_oracle(spark, edges_df):
-    df = arrival_times_df(spark, edges_df, S, T, TB, TE)
-    assert_equivalent(
-        df, arrival_sql(S, T, TB, TE), edges=edges_to_pdf(EDGES)
+def window(edges_df):
+    return TemporalAdjacency(
+        spark_edges_to_list(project_window_df(edges_df, TB, TE))
     )
 
 
-def test_departure_df_vs_duckdb_oracle(spark, edges_df):
-    df = departure_times_df(spark, edges_df, S, T, TB, TE)
-    assert_equivalent(
-        df, departure_sql(S, T, TB, TE), edges=edges_to_pdf(EDGES)
+@pytest.fixture(scope="module")
+def gq(window):
+    return quick_ubg(window, S, T, TB, TE)
+
+
+@pytest.fixture(scope="module")
+def gt(gq):
+    return tight_ubg(gq, S, T)
+
+
+def test_arrival_df_matches_fig3a(window):
+    assert arrival_times(window, S, T, TB, TE) == EXPECTED_ARRIVAL
+
+
+def test_departure_df_matches_fig3b(window):
+    assert departure_times(window, S, T, TB, TE) == EXPECTED_DEPARTURE
+
+
+def test_arrival_df_vs_duckdb_oracle(spark, window):
+    got = spark.createDataFrame(
+        sorted(arrival_times(window, S, T, TB, TE).items()),
+        "v long, arrival long",
     )
+    assert_equivalent(got, arrival_sql(S, T, TB, TE), edges=EDGES_PDF)
+
+
+def test_departure_df_vs_duckdb_oracle(spark, window):
+    got = spark.createDataFrame(
+        sorted(departure_times(window, S, T, TB, TE).items()),
+        "v long, departure long",
+    )
+    assert_equivalent(got, departure_sql(S, T, TB, TE), edges=EDGES_PDF)
 
 
 def test_projection_vs_duckdb_oracle(spark, edges_df):
@@ -90,68 +102,35 @@ def test_projection_vs_duckdb_oracle(spark, edges_df):
     assert_equivalent(
         df,
         f"SELECT src, dst, ts FROM edges WHERE ts BETWEEN {TB} AND {TE}",
-        edges=edges_to_pdf(EDGES),
+        edges=EDGES_PDF,
     )
+    assert spark_edges_to_list(df) == sorted(EDGES)
 
 
-def test_quick_ubg_df_matches_fig3c(gq_df):
-    assert spark_edges_to_list(gq_df) == EXPECTED_GQ
+def test_window_quick_ubg_matches_fig3c(gq):
+    assert gq.edges == EXPECTED_GQ
 
 
-def test_quick_ubg_df_filter_semantics(spark, edges_df):
-    # Same result when A/D are fed in as plain label tables.
-    a = spark.createDataFrame(
-        [(k, v) for k, v in EXPECTED_ARRIVAL.items()], "v long, arrival long"
-    )
-    d = spark.createDataFrame(
-        [(k, v) for k, v in EXPECTED_DEPARTURE.items()], "v long, departure long"
-    )
-    assert spark_edges_to_list(quick_ubg_df(edges_df, a, d)) == EXPECTED_GQ
+def test_window_lemma1_filter_semantics(window):
+    # Same result when A/D are fed in as the figure's label tables.
+    got = quick_ubg_edges(window.edges, EXPECTED_ARRIVAL, EXPECTED_DEPARTURE)
+    assert got == EXPECTED_GQ
 
 
-def _entries_from_df(df) -> dict:
-    out = {}
-    for r in df.collect():
-        out.setdefault(int(r.u), {})[int(r.ts)] = frozenset(int(x) for x in r.vset)
-    return out
+def test_tcv_source_df_matches_fig4a(gq):
+    assert tcv_from_source(gq, S, T) == EXPECTED_TCV_S
 
 
-def test_tcv_source_df_matches_fig4a(spark, gq_df):
-    got = _entries_from_df(tcv_from_source_df(spark, gq_df, S, T))
-    # The dataflow skips Lemma-7 pruning, so completed vertices may carry
-    # extra {u} entries; compare through the lookup semantics instead.
-    from repro.core.tcv import lookup_source
-
-    for u, entries in got.items():
-        for ts, vset in entries.items():
-            assert lookup_source(EXPECTED_TCV_S, S, u, ts) == vset, (u, ts)
-    # Every kernel entry key must be present in the dataflow result.
-    for u, lst in EXPECTED_TCV_S.items():
-        for ts, vset in lst:
-            assert got[u][ts] == vset
+def test_tcv_target_df_matches_fig4b(gq):
+    assert tcv_to_target(gq, S, T) == EXPECTED_TCV_T
 
 
-def test_tcv_target_df_matches_fig4b(spark, gq_df):
-    got = _entries_from_df(tcv_to_target_df(spark, gq_df, S, T))
-    from repro.core.tcv import lookup_target
-
-    for u, entries in got.items():
-        for ts, vset in entries.items():
-            assert lookup_target(EXPECTED_TCV_T, T, u, ts) == vset, (u, ts)
-    for u, lst in EXPECTED_TCV_T.items():
-        for ts, vset in lst:
-            assert got[u][ts] == vset
+def test_window_tight_ubg_matches_fig4c(gt):
+    assert gt.edges == EXPECTED_GT
 
 
-def test_tight_ubg_dataflow_matches_fig4c(spark, gq_df):
-    gt = tight_ubg_dataflow(spark, gq_df, Q)
-    assert spark_edges_to_list(gt) == EXPECTED_GT
-
-
-def test_eev_df_matches_fig1c(spark, gq_df):
-    gt = tight_ubg_dataflow(spark, gq_df, Q)
-    tspg = eev_df(spark, gt, S, T, TB, TE)
-    assert spark_edges_to_list(tspg) == EXPECTED_TSPG
+def test_window_eev_matches_fig1c(gt):
+    assert eev(gt, S, T, TB, TE) == EXPECTED_TSPG
 
 
 def test_vug_dataflow_end_to_end(spark, edges_df):
@@ -161,6 +140,4 @@ def test_vug_dataflow_end_to_end(spark, edges_df):
 
 def test_vug_dataflow_vs_duckdb_oracle(spark, edges_df):
     tspg = vug_dataflow(spark, edges_df, Q)
-    assert_equivalent(
-        tspg, tspg_sql(S, T, TB, TE), edges=edges_to_pdf(EDGES)
-    )
+    assert_equivalent(tspg, tspg_sql(S, T, TB, TE), edges=EDGES_PDF)

@@ -124,13 +124,7 @@ class TestTransitSchedule:
 
 
 class TestProvidedTables:
-    """The provided TPC-H-lite generators keep working (used by the oracle)."""
-
-    def test_lineitem_and_orders(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        assert li.count() > 0 and o.count() > 0
-        assert "l_orderkey" in li.columns and "o_orderkey" in o.columns
+    """The Spark edge-table wrappers in ``repro.synth_data``."""
 
     def test_temporal_edges_wrapper(self, spark):
         df = synth_data.temporal_edges(spark, n=30, m=200, n_ts=10, seed=1)
