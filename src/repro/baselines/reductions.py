@@ -1,6 +1,6 @@
 """Upper-bound graph reductions used by the baselines (paper Sec. III-A).
 
-* ``dt_tsg`` — interval projection: keep edges with τ ∈ [τb, τe]. O(m).
+* ``dt_tsg`` — interval projection: the window slice, τ ∈ [τb, τe].
 * ``es_tsg`` — keep edges on some s→t path with **non-decreasing**
   timestamps (Jin et al. [12]): bidirectional non-strict reachability
   labels, kept when ``A≼(u) ≤ τ ≤ D≽(v)``. O(m).
@@ -9,7 +9,8 @@
   [12].  Produces exactly the same graph as QuickUBG (the paper notes the
   identical reduction effect) but pays the O(log n) heap factor that Exp-5
   measures QuickUBG against — so this implementation deliberately keeps the
-  lazy-deletion binary heap.
+  lazy-deletion binary heap.  Its Lemma-1 filter is QuickUBG's, over the
+  same window slice, so Exp-5 compares the heap with the edge stream only.
 
 All three return subgraphs of the projected window and are upper bounds of
 the tspG: dt ⊇ es ⊇ tg = quick ⊇ tight ⊇ tspG.
@@ -20,13 +21,13 @@ import heapq
 from bisect import bisect_right
 from typing import Dict
 
+from repro.core.quick_ubg import quick_ubg_edges
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import project_window
 
 
 def dt_tsg(adj: TemporalAdjacency, tb: int, te: int) -> TemporalAdjacency:
     """Projected graph of the window (dtTSG)."""
-    return TemporalAdjacency(project_window(adj.edges, tb, te))
+    return TemporalAdjacency(adj.slice(tb, te))
 
 
 def _nd_arrival(
@@ -88,9 +89,7 @@ def es_tsg(
     A = _nd_arrival(adj, s, tb, te)
     D = _nd_departure(adj, t, tb, te)
     keep = []
-    for u, v, ts in adj.edges:
-        if not (tb <= ts <= te):
-            continue
+    for u, v, ts in adj.slice(tb, te):
         au = A.get(u)
         dv = D.get(v)
         if au is not None and dv is not None and au <= ts <= dv:
@@ -157,10 +156,4 @@ def tg_tsg(
     """
     A = _dijkstra_arrival(adj, s, t, tb, te)
     D = _dijkstra_departure(adj, s, t, tb, te)
-    keep = []
-    for u, v, ts in adj.edges:
-        au = A.get(u)
-        dv = D.get(v)
-        if au is not None and dv is not None and au < ts < dv:
-            keep.append((u, v, ts))
-    return TemporalAdjacency(keep)
+    return TemporalAdjacency(quick_ubg_edges(adj.slice(tb, te), A, D))

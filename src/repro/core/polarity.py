@@ -7,42 +7,37 @@ paths ``u → t`` within the window that do not pass through ``s``.
 Conventions: ``A(s) = τb - 1``, ``D(t) = τe + 1``; unreachable vertices are
 absent from the returned maps (paper: +∞ / −∞).
 
-Local kernel: label-correcting BFS with monotone scan pointers over
-timestamp-sorted neighbor lists.  ``A(u)`` only ever decreases, and the
-admissible out-edges (``τ > A(u)``) form a growing suffix of the
-descending-τ list, so a per-vertex pointer touches each edge once — the
-paper's O(n+m) bound.
+Local kernel: Wu et al.'s one-pass edge-stream earliest arrival (*Path
+Problems in Temporal Graphs*, PVLDB 7(9), 2014) over the window's τ-ordered
+edge slice, O(|window|) per query; latest departure is the same pass over
+the time-reversed slice.
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Tuple
+from typing import Dict, Iterable
 
-from repro.graph.adjacency import TemporalAdjacency
-
-
-def _first_le_desc(lst, val: int) -> int:
-    """First index of a τ-descending list with τ ≤ val (binary search)."""
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid][0] > val:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+from repro.graph.adjacency import TemporalAdjacency, time_reversed
+from repro.graph.schema import Edge
 
 
-def _first_ge_asc(lst, val: int) -> int:
-    """First index of a τ-ascending list with τ ≥ val (binary search)."""
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid][0] < val:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _first_labels(
+    stream: Iterable[Edge], s: int, start: int, avoid: int, blocked: frozenset
+) -> Dict[int, int]:
+    """Label ``b`` with ``key`` the first time an edge ``(a, b, key)`` of
+    the ascending-key ``stream`` leaves an ``a`` with ``L[a] < key``.
+
+    One pass is exact: the strict ``<`` means edges with equal keys cannot
+    chain, so every label an edge reads is final when the edge arrives; and
+    keys only grow, so the first label a vertex gets is its minimum.
+    ``avoid`` and ``blocked`` vertices are never labelled.
+    """
+    skip = blocked | {avoid}
+    L: Dict[int, int] = {s: start}
+    for a, b, key in stream:
+        la = L.get(a)
+        if la is not None and la < key and b not in L and b not in skip:
+            L[b] = key
+    return L
 
 
 def arrival_times(
@@ -57,42 +52,10 @@ def arrival_times(
 
     Returns ``{u: A(u)}`` for every reachable ``u`` (including ``A(s)=τb-1``);
     ``t`` never receives a label (paths must not pass through it, Alg. 3 L6).
-    On first visit the scan pointer starts past the τ > τe prefix (binary
-    search) so out-of-window edges are never touched — the pointer then only
-    moves forward, so each in-window edge is consumed once.
-
     ``blocked`` vertices are treated as absent (EEV uses this to bound
     reachability around a partially claimed path).
     """
-    A: Dict[int, int] = {s: tb - 1}
-    ptr: Dict[int, int] = {}
-    q = deque([s])
-    in_q = {s}
-    inf = te + 1
-    while q:
-        u = q.popleft()
-        in_q.discard(u)
-        lst = adj.out_edges(u)  # descending τ
-        i = ptr.get(u)
-        if i is None:
-            i = _first_le_desc(lst, te)
-        au = A[u]
-        n = len(lst)
-        while i < n:
-            ts, v = lst[i]
-            if ts <= au:
-                break  # remaining edges have τ ≤ A(u); resume if A(u) drops
-            i += 1  # edge consumed permanently (A(u) only decreases)
-            if v == t or v in blocked:
-                continue
-            if ts >= A.get(v, inf):
-                continue
-            A[v] = ts
-            if ts != te and v not in in_q:
-                q.append(v)
-                in_q.add(v)
-        ptr[u] = i
-    return A
+    return _first_labels(adj.slice(tb, te), s, tb - 1, t, blocked)
 
 
 def departure_times(
@@ -103,46 +66,9 @@ def departure_times(
     te: int,
     blocked: frozenset = frozenset(),
 ) -> Dict[int, int]:
-    """Latest departure D(·) toward ``t`` avoiding ``s`` — Alg. 3, backward.
-
-    Mirror of :func:`arrival_times`, including ``blocked`` semantics.
-    """
-    D: Dict[int, int] = {t: te + 1}
-    ptr: Dict[int, int] = {}
-    q = deque([t])
-    in_q = {t}
-    neg = tb - 1
-    while q:
-        u = q.popleft()
-        in_q.discard(u)
-        lst = adj.in_edges(u)  # ascending τ
-        i = ptr.get(u)
-        if i is None:
-            i = _first_ge_asc(lst, tb)
-        du = D[u]
-        n = len(lst)
-        while i < n:
-            ts, v = lst[i]
-            if ts >= du:
-                break  # remaining edges have τ ≥ D(u); resume if D(u) grows
-            i += 1
-            if v == s or v in blocked:
-                continue
-            if ts <= D.get(v, neg):
-                continue
-            D[v] = ts
-            if ts != tb and v not in in_q:
-                q.append(v)
-                in_q.add(v)
-        ptr[u] = i
-    return D
-
-
-def polarity_times(
-    adj: TemporalAdjacency, s: int, t: int, tb: int, te: int
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Both polarity maps (paper Alg. 3)."""
-    return (
-        arrival_times(adj, s, t, tb, te),
-        departure_times(adj, s, t, tb, te),
-    )
+    """Latest departure D(·) toward ``t`` avoiding ``s`` — Alg. 3, backward:
+    the forward pass from ``t`` over the time-reversed window, labels negated
+    back.  Same ``blocked`` semantics."""
+    stream = time_reversed(adj.slice(tb, te))
+    L = _first_labels(stream, t, -(te + 1), s, blocked)
+    return {u: -key for u, key in L.items()}

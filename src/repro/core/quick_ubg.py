@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List
 
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.schema import Edge
-from repro.core.polarity import polarity_times
+from repro.core.polarity import arrival_times, departure_times
 
 
 def quick_ubg_edges(
@@ -32,5 +32,6 @@ def quick_ubg(
     adj: TemporalAdjacency, s: int, t: int, tb: int, te: int
 ) -> TemporalAdjacency:
     """QuickUBG for one query: polarity times (Alg. 3) + Lemma-1 filter."""
-    A, D = polarity_times(adj, s, t, tb, te)
-    return TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
+    A = arrival_times(adj, s, t, tb, te)
+    D = departure_times(adj, s, t, tb, te)
+    return TemporalAdjacency(quick_ubg_edges(adj.slice(tb, te), A, D))

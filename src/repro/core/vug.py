@@ -17,9 +17,7 @@ from typing import Dict, List, Set
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.eev import eev
-from repro.core.polarity import polarity_times
-from repro.core.quick_ubg import quick_ubg_edges
-from repro.core.tcv import tcv_from_source, tcv_to_target
+from repro.core.quick_ubg import quick_ubg
 from repro.core.tight_ubg import tight_ubg
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.schema import (
@@ -60,12 +58,9 @@ def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
             sizes={"gq": 0, "gt": 0, "tspg": 0},
         )
     t0 = time.perf_counter()
-    A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
-    gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
+    gq = quick_ubg(adj, q.s, q.t, q.tb, q.te)
     t1 = time.perf_counter()
-    tcv_s = tcv_from_source(gq, q.s, q.t)
-    tcv_t = tcv_to_target(gq, q.s, q.t)
-    gt = tight_ubg(gq, q.s, q.t, tcv_s, tcv_t)
+    gt = tight_ubg(gq, q.s, q.t)
     t2 = time.perf_counter()
     edges = eev(gt, q.s, q.t, q.tb, q.te)
     t3 = time.perf_counter()

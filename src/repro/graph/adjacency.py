@@ -1,28 +1,29 @@
 """Timestamp-sorted adjacency used by the per-query local kernels.
 
-The paper's O(n+m) algorithms rely on neighbor lists sorted by timestamp with
-monotone scan pointers (Alg. 3's "pointer in N_out(u)").  We store, per
-vertex:
+Every VUG phase that sweeps edges in time order — polarity (Alg. 3) and
+the TCV sweeps (Alg. 4) — reads ``by_time``: all edges in (τ, u, v) order,
+sorted once at build.  ``slice(tb, te)`` cuts the θ-window out of it by
+binary search, so a query touches only its window's edges.  The backward
+sweeps read the same list through :func:`time_reversed`.
 
-* ``out_desc[u]`` — out-neighbors ``(τ, v)`` sorted by **descending** τ: the
-  earliest-arrival sweep consumes the admissible suffix ``τ > A(u)`` and
-  since ``A(u)`` only decreases, the pointer over this order moves forward
-  monotonically, touching each edge once.
-* ``in_asc[u]`` — in-neighbors ``(τ, v)`` sorted by **ascending** τ: the
-  latest-departure sweep consumes ``τ < D(u)``; ``D(u)`` only increases, so
-  the ascending pointer is likewise monotone.
-
-These two orders are also exactly what the optimized bidirectional DFS
-(Alg. 7) needs: forward search explores out-neighbors in non-ascending
-temporal order and backward search explores in-neighbors in non-descending
-order.
+Per vertex it also keeps the neighbor lists that EEV's bidirectional DFS
+(Alg. 7) and the baselines traverse: ``out_desc[u]``, out-neighbors
+``(τ, v)`` by **descending** τ (forward search explores latest-first), and
+``in_asc[u]``, in-neighbors ``(τ, v)`` by **ascending** τ (backward search
+explores earliest-first).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.graph.schema import Edge
+
+
+_TS = itemgetter(2)
+_TAU = itemgetter(0)
 
 
 class TemporalAdjacency:
@@ -30,18 +31,18 @@ class TemporalAdjacency:
 
     def __init__(self, edges: Iterable[Edge]):
         self.edges: List[Edge] = sorted(set(edges))
+        # Stable sort on τ of the (u, v, τ)-sorted list: (τ, u, v) order.
+        self.by_time: List[Edge] = sorted(self.edges, key=_TS)
         out: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         inc: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-        verts = set()
-        for u, v, ts in self.edges:
+        # In (τ, u, v) order every in-list comes out sorted by (τ, u), and
+        # every out-list by (τ, v); a stable reverse sort on τ alone turns
+        # the latter into (τ descending, v ascending).
+        for u, v, ts in self.by_time:
             out[u].append((ts, v))
             inc[v].append((ts, u))
-            verts.add(u)
-            verts.add(v)
-        for u in out:
-            out[u].sort(key=lambda p: (-p[0], p[1]))
-        for v in inc:
-            inc[v].sort()
+        for lst in out.values():
+            lst.sort(key=_TAU, reverse=True)
         self.out_desc: Dict[int, List[Tuple[int, int]]] = dict(out)
         self.in_asc: Dict[int, List[Tuple[int, int]]] = dict(inc)
         # Ascending out-lists, cached: enumeration and the Dijkstra baseline
@@ -49,7 +50,7 @@ class TemporalAdjacency:
         self._out_asc: Dict[int, List[Tuple[int, int]]] = {
             u: list(reversed(lst)) for u, lst in self.out_desc.items()
         }
-        self.vertices = verts
+        self.vertices = out.keys() | inc.keys()
 
     @property
     def n(self) -> int:
@@ -80,6 +81,17 @@ class TemporalAdjacency:
             max((len(l) for l in self.in_asc.values()), default=0),
         )
 
+    def slice(self, tb: int, te: int) -> List[Edge]:
+        """Edges with τ in ``[tb, te]``, in (τ, u, v) order."""
+        lo = bisect_left(self.by_time, tb, key=_TS)
+        return self.by_time[lo:bisect_right(self.by_time, te, lo, key=_TS)]
+
     def window(self, tb: int, te: int) -> "TemporalAdjacency":
         """Adjacency of the projected graph within ``[tb, te]``."""
-        return TemporalAdjacency(e for e in self.edges if tb <= e[2] <= te)
+        return TemporalAdjacency(self.slice(tb, te))
+
+
+def time_reversed(edges: List[Edge]) -> Iterator[Edge]:
+    """Edges ``(v, u, −τ)`` of a τ-ascending list, in ascending key: a path
+    ``u → t`` departing after τ is a path ``t → u`` here arriving before −τ."""
+    return ((v, u, -ts) for u, v, ts in reversed(edges))

@@ -86,6 +86,13 @@ class TestAdjacency:
         adj = TemporalAdjacency([(1, 2, 3), (2, 3, 9)])
         assert adj.window(1, 5).edges == [(1, 2, 3)]
 
+    def test_slice_is_tau_ordered_and_inclusive(self):
+        adj = TemporalAdjacency([(3, 1, 5), (1, 2, 5), (2, 3, 9), (4, 1, 2)])
+        assert adj.edges == [(1, 2, 5), (2, 3, 9), (3, 1, 5), (4, 1, 2)]
+        assert adj.slice(2, 5) == [(4, 1, 2), (1, 2, 5), (3, 1, 5)]
+        assert adj.slice(5, 9) == [(1, 2, 5), (3, 1, 5), (2, 3, 9)]
+        assert adj.slice(6, 8) == [] and adj.slice(9, 2) == []
+
     def test_empty_graph(self):
         adj = TemporalAdjacency([])
         assert adj.n == 0 and adj.m == 0 and adj.max_degree() == 0
