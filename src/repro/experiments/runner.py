@@ -3,18 +3,18 @@
 ``query_metrics`` runs one algorithm for one query on a local adjacency and
 returns a flat metric dict (wide schema shared by all algorithms, unused
 fields NaN/-1).  ``run_workload_local`` loops in-process;
-``run_workload_spark`` parallelizes the (query × algorithm) grid across the
-cluster with ``applyInPandas``, broadcasting the edge list and measuring
-phase times inside the tasks — the paper's "total query time over 1000
-queries" is then the sum of in-task times.
+``run_workload_spark`` splits the (query × algorithm) grid round-robin into
+one group per Spark slot and runs each group as one task of a single RDD
+stage, broadcasting the edge list and measuring phase times inside the
+tasks — the paper's "total query time over 1000 queries" is then the sum of
+in-task times.  Both return one row per cell with ``METRIC_COLUMNS``.
 """
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -30,14 +30,7 @@ from repro.core.quick_ubg import quick_ubg
 from repro.core.tight_ubg import tight_ubg
 from repro.core.vug import vug_local
 from repro.graph.adjacency import TemporalAdjacency
-from repro.workload import Query, queries_to_pdf
-
-METRIC_SPARK_SCHEMA = (
-    "qid long, algo string, inf long, total_s double, quick_s double,"
-    " tight_s double, eev_s double, ub_s double, enum_s double, tg_s double,"
-    " n_ub long, n_gq long, n_gt long, n_tspg long, n_paths long,"
-    " paths_capped long, n_dt long, n_es long, n_tg long"
-)
+from repro.workload import Query
 
 _METRIC_DEFAULTS: Dict[str, object] = {
     "inf": 0,
@@ -58,6 +51,10 @@ _METRIC_DEFAULTS: Dict[str, object] = {
     "n_es": -1,
     "n_tg": -1,
 }
+
+# Result columns of both runners: ``qid`` and ``algo`` (int64, object), then
+# the metrics, int64 where the default is -1/0 and float64 where it is NaN.
+METRIC_COLUMNS = ("qid", "algo", *_METRIC_DEFAULTS)
 
 # Enumeration budgets standing in for the paper's 12-hour INF cutoff
 # (~1-2 s of Python DFS per capped query at bench scale).
@@ -169,7 +166,7 @@ def run_workload_local(
             row = query_metrics(adj, q, algo, **caps)
             row["qid"] = qid
             rows.append(row)
-    return pd.DataFrame(rows)
+    return pd.DataFrame(rows, columns=METRIC_COLUMNS)
 
 
 def run_workload_spark(
@@ -177,47 +174,43 @@ def run_workload_spark(
     edges_pdf: pd.DataFrame,
     queries: Sequence[Query],
     algos: Sequence[str],
-    *,
-    n_groups: Optional[int] = None,
     **caps,
 ) -> pd.DataFrame:
     """Distribute the (query × algorithm) grid across the cluster.
 
-    Each Spark task rebuilds the adjacency once from the broadcast edge
-    list, then runs its share of (query, algo) cells, so per-phase timings
-    are measured in-task and summable like the paper's totals.
+    The cells are dealt round-robin into one group per slot
+    (``defaultParallelism``, fewer when there are fewer cells), so heavy
+    algorithms spread across groups, and ``parallelize`` puts each group in
+    its own partition: one Spark job whose one stage runs a task per group.
+    There is no ``groupBy``: adaptive query execution would coalesce the
+    shuffle of a few hundred tiny rows into a single partition and run the
+    whole batch as one task.  Each task rebuilds the adjacency once from the
+    broadcast edge list, then runs its cells, so per-phase timings are
+    measured in-task and summable like the paper's totals.  Row order is
+    not the grid order; ``qid`` is the query's index in ``queries``.
     """
-    if n_groups is None:
-        n_groups = max(2, spark.sparkContext.defaultParallelism)
-    qpdf = queries_to_pdf(list(queries))
-    grid = qpdf.merge(pd.DataFrame({"algo": list(algos)}), how="cross")
-    # Round-robin over the grid spreads heavy algos across groups.
-    grid["gid"] = np.arange(len(grid), dtype="int64") % n_groups
-    edges_bc = spark.sparkContext.broadcast(
-        (
-            edges_pdf["src"].to_numpy("int64"),
-            edges_pdf["dst"].to_numpy("int64"),
-            edges_pdf["ts"].to_numpy("int64"),
-        )
+    cells = [(qid, q, algo) for qid, q in enumerate(queries) for algo in algos]
+    if not cells:
+        return pd.DataFrame(columns=METRIC_COLUMNS)
+    sc = spark.sparkContext
+    k = min(sc.defaultParallelism, len(cells))
+    groups = [cells[g::k] for g in range(k)]
+    edges_bc = sc.broadcast(
+        tuple(edges_pdf[c].to_numpy("int64") for c in ("src", "dst", "ts"))
     )
 
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run_group(group):
         src, dst, ts = edges_bc.value
         adj = TemporalAdjacency(zip(src.tolist(), dst.tolist(), ts.tolist()))
         rows = []
-        for rec in pdf.itertuples(index=False):
-            q = Query(int(rec.s), int(rec.t), int(rec.tb), int(rec.te))
-            row = query_metrics(adj, q, str(rec.algo), **caps)
-            row["qid"] = int(rec.qid)
+        for qid, q, algo in group:
+            row = query_metrics(adj, q, algo, **caps)
+            row["qid"] = qid
             rows.append(row)
-        out = pd.DataFrame(rows)
-        return out[
-            [f.split()[0] for f in METRIC_SPARK_SCHEMA.split(", ")]
-        ]
+        return rows
 
-    sdf = spark.createDataFrame(grid)
-    return (
-        sdf.groupBy("gid")
-        .applyInPandas(run_group, schema=METRIC_SPARK_SCHEMA)
-        .toPandas()
-    )
+    try:
+        rows = sc.parallelize(groups, k).flatMap(run_group).collect()
+    finally:
+        edges_bc.destroy()
+    return pd.DataFrame(rows, columns=METRIC_COLUMNS)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-import pandas as pd
 
 from repro.core.polarity import arrival_times
 from repro.graph.adjacency import TemporalAdjacency
@@ -71,16 +70,3 @@ def generate_queries(
         t = int(g.choice(np.array(sorted(reachable), dtype="int64")))
         out.append(Query(int(s), t, tb, te))
     return out
-
-
-def queries_to_pdf(queries: List[Query]) -> pd.DataFrame:
-    """Queries as a pandas table (qid, s, t, tb, te) for Spark workloads."""
-    return pd.DataFrame(
-        {
-            "qid": np.arange(len(queries), dtype="int64"),
-            "s": [q.s for q in queries],
-            "t": [q.t for q in queries],
-            "tb": [q.tb for q in queries],
-            "te": [q.te for q in queries],
-        }
-    ).astype("int64")

@@ -1,5 +1,6 @@
 """Metric runner and experiment harnesses at test scale."""
 import math
+import time
 
 import pandas as pd
 import pytest
@@ -15,6 +16,7 @@ from repro.experiments.perf import (
     exp7_rows,
 )
 from repro.experiments.runner import (
+    METRIC_COLUMNS,
     query_metrics,
     run_workload_local,
     run_workload_spark,
@@ -23,8 +25,19 @@ from repro.experiments.tables import table1_rows, table2_rows
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.datasets import DATASETS, make_dataset
 from repro.graph.schema import pdf_to_edge_list
-from repro.workload import generate_queries
+from repro.workload import Query, generate_queries
 
+
+# Column order and dtypes of the runners' result frame.
+METRIC_DTYPES = [
+    ("qid", "int64"), ("algo", "object"), ("inf", "int64"),
+    ("total_s", "float64"), ("quick_s", "float64"), ("tight_s", "float64"),
+    ("eev_s", "float64"), ("ub_s", "float64"), ("enum_s", "float64"),
+    ("tg_s", "float64"), ("n_ub", "int64"), ("n_gq", "int64"),
+    ("n_gt", "int64"), ("n_tspg", "int64"), ("n_paths", "int64"),
+    ("paths_capped", "int64"), ("n_dt", "int64"), ("n_es", "int64"),
+    ("n_tg", "int64"),
+]
 ALL_ALGOS = ["VUG", "EPdtTSG", "EPesTSG", "EPtgTSG", "RATIOS", "EXP6", "COUNT"]
 
 
@@ -108,6 +121,40 @@ class TestWorkloadRunners:
         dist = run_workload_spark(spark, pdf, queries, ["VUG", "RATIOS"])
         assert len(dist) == 2 * len(queries)
         assert sorted(dist["qid"].unique()) == list(range(len(queries)))
+
+    def test_empty_batch_has_metric_columns(self, spark, d1):
+        pdf, adj, _ = d1
+        for got in (
+            run_workload_local(adj, [], ["VUG"]),
+            run_workload_spark(spark, pdf, [], ["VUG"]),
+            run_workload_spark(spark, pdf, [Query(0, 1, 1, 5)], []),
+        ):
+            assert got.empty
+            assert tuple(got.columns) == METRIC_COLUMNS
+
+    def test_spark_batch_is_one_job_with_a_task_per_slot(self, spark, d1):
+        pdf, adj, _ = d1
+        queries = generate_queries(adj, theta=10, n_queries=8, seed=11)
+        sc = spark.sparkContext
+        group = "test-runner-parallelism"
+        sc.setJobGroup(group, "one VUG batch")
+        try:
+            dist = run_workload_spark(spark, pdf, queries, ["VUG"])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        tracker = sc.statusTracker()
+        deadline = time.monotonic() + 30
+        while True:  # the status store trails the listener bus
+            jobs = [tracker.getJobInfo(j) for j in tracker.getJobIdsForGroup(group)]
+            if jobs and all(j and j.status == "SUCCEEDED" for j in jobs):
+                break
+            assert time.monotonic() < deadline, jobs
+            time.sleep(0.05)
+        assert len(jobs) == 1
+        stage = tracker.getStageInfo(max(jobs[0].stageIds))
+        assert stage.numTasks == min(sc.defaultParallelism, len(queries))
+        assert list(dist.dtypes.astype(str).items()) == METRIC_DTYPES
 
 
 class TestTables:

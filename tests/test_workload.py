@@ -5,7 +5,7 @@ from repro.core.polarity import arrival_times
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.datasets import DATASETS, make_dataset
 from repro.graph.schema import pdf_to_edge_list
-from repro.workload import Query, generate_queries, queries_to_pdf
+from repro.workload import Query, generate_queries
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +65,3 @@ class TestGeneration:
         adj = TemporalAdjacency([(1, 2, 5)])
         qs = generate_queries(adj, theta=1, n_queries=1, seed=0, max_tries=50)
         assert qs == [Query(1, 2, 5, 5)]
-
-
-class TestQueriesToPdf:
-    def test_schema(self, d1_adj):
-        qs = generate_queries(d1_adj, theta=10, n_queries=5, seed=1)
-        pdf = queries_to_pdf(qs)
-        assert list(pdf.columns) == ["qid", "s", "t", "tb", "te"]
-        assert len(pdf) == 5
-        assert pdf["qid"].tolist() == [0, 1, 2, 3, 4]
