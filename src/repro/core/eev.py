@@ -253,7 +253,7 @@ def eev(
     confirmed = preverified_edges(gt, s, t)
     arrival = arrival_times(gt, s, t, tb, te)
     departure = departure_times(gt, s, t, tb, te)
-    for edge in sorted(gt.edges, key=lambda e: (e[2], e[0], e[1])):
+    for edge in gt.by_time:
         if edge in confirmed:
             continue
         path = bidir_search(edge, gt, s, t, tb, te, arrival, departure)

@@ -1,13 +1,32 @@
-"""Result formatting/persistence shared by jobs and benchmarks."""
+"""Spark session, result formatting and persistence for the experiment
+driver (``jobs/run.py``) and the tests."""
 from __future__ import annotations
 
 import json
 import os
 from typing import List, Mapping, Sequence
 
-RESULTS_DIR = os.environ.get(
-    "REPRO_RESULTS_DIR", os.path.join(os.path.dirname(__file__), "../../../results")
-)
+from pyspark.sql import SparkSession
+
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "../../../results")
+
+
+def spark_session() -> SparkSession:
+    """The local SparkSession, or the one already running.  Master and
+    driver memory come from ``PYSPARK_SUBMIT_ARGS`` (default ``local[*]``,
+    UI off), read when the JVM starts."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        "--master local[*] --conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    spark = (
+        SparkSession.builder.appName("repro")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
 
 
 def fmt_markdown_table(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
@@ -30,12 +49,14 @@ def fmt_markdown_table(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
 
 
 def save_results(name: str, rows: List[Mapping], columns: Sequence[str]) -> str:
-    """Persist rows as JSON + markdown under results/; returns the md path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    jpath = os.path.join(RESULTS_DIR, f"{name}.json")
+    """Persist rows as JSON + markdown under ``$REPRO_RESULTS_DIR`` (default
+    results/); returns the md path."""
+    out = os.environ.get("REPRO_RESULTS_DIR", RESULTS_DIR)
+    os.makedirs(out, exist_ok=True)
+    jpath = os.path.join(out, f"{name}.json")
     with open(jpath, "w") as f:
         json.dump(rows, f, indent=1, default=str)
-    mpath = os.path.join(RESULTS_DIR, f"{name}.md")
+    mpath = os.path.join(out, f"{name}.md")
     with open(mpath, "w") as f:
         f.write(fmt_markdown_table(rows, columns) + "\n")
     return mpath

@@ -1,23 +1,27 @@
-"""Harnesses for the figure experiments' quoted numbers (Exp-1..Exp-7).
+"""Harnesses for the figure experiments' quoted numbers (Exp-1..Exp-8) and
+the Spark pipeline check.
 
 Figures themselves are out of scope; each function reproduces the rows /
-headline numbers the paper's text reports, in table form.  Totals follow
-the paper's convention: the summed per-query time of an algorithm over the
-workload, with INF when any query exhausts the enumeration budget (the
-stand-in for the 12-hour cutoff, DESIGN.md §3).
+headline numbers the paper's text reports, in table form, one row per cell
+of a *plan*: a ``(dataset key, θ)`` pair, run over ``n_queries`` random
+queries of span θ.  Totals follow the paper's convention: the summed
+per-query time of an algorithm over the workload, with INF when any query
+exhausts the enumeration budget (the 12-hour cutoff, DESIGN.md §3).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.experiments.runner import run_workload_local, run_workload_spark
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.datasets import DATASET_KEYS, DATASETS, make_dataset
+from repro.graph.datasets import make_dataset
 from repro.graph.schema import pdf_to_edge_list
-from repro.workload import generate_queries
+from repro.workload import Query, generate_queries
+
+Plan = Sequence[Tuple[str, int]]
 
 EXP1_COLUMNS = ["key", "theta", "n_queries", "EPdtTSG_s", "EPesTSG_s",
                 "EPtgTSG_s", "VUG_s", "paper_note"]
@@ -29,39 +33,27 @@ EXP5_COLUMNS = ["key", "theta", "tgTSG_s", "QuickUBG_s", "speedup",
                 "quick_ratio", "tight_ratio"]
 EXP6_COLUMNS = ["key", "theta", "enum_on_gt_s", "eev_s", "speedup", "enum_inf"]
 EXP7_COLUMNS = ["key", "theta", "tspg_edges", "tspg_paths", "paths_capped"]
+EXP8_COLUMNS = ["seed", "s", "t", "window", "stops", "trips"]
+DATAFLOW_COLUMNS = ["key", "s", "t", "tb", "te", "tspg_edges", "matches_kernel"]
+
+_EP_ALGOS = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
 
 
-def _workload(
-    key: str,
-    *,
-    scale,
-    n_queries: int,
-    theta: Optional[int],
-    seed: int,
-) -> Tuple[pd.DataFrame, TemporalAdjacency, list]:
-    spec = DATASETS[key]
-    pdf = make_dataset(key, scale=scale, seed=seed)
-    adj = TemporalAdjacency(pdf_to_edge_list(pdf))
-    queries = generate_queries(
-        adj, theta=theta or spec.theta, n_queries=n_queries, seed=seed + 17
-    )
-    return pdf, adj, queries
+def _workloads(
+    plan: Plan, *, scale, n_queries: int, seed: int
+) -> Iterator[Tuple[str, int, pd.DataFrame, TemporalAdjacency, List[Query]]]:
+    """Per cell of ``plan``: ``(key, θ, edge table, adjacency, queries)``,
+    the dataset built with ``seed`` and the queries drawn with ``seed + 17``."""
+    for key, theta in plan:
+        pdf = make_dataset(key, scale=scale, seed=seed)
+        adj = TemporalAdjacency(pdf_to_edge_list(pdf))
+        queries = generate_queries(
+            adj, theta=theta, n_queries=n_queries, seed=seed + 17
+        )
+        yield key, theta, pdf, adj, queries
 
 
-def _run(
-    spark: Optional[SparkSession],
-    pdf: pd.DataFrame,
-    adj: TemporalAdjacency,
-    queries,
-    algos: Sequence[str],
-    **caps,
-) -> pd.DataFrame:
-    if spark is not None:
-        return run_workload_spark(spark, pdf, queries, algos, **caps)
-    return run_workload_local(adj, queries, algos, **caps)
-
-
-def _total(metrics: pd.DataFrame, algo: str, col: str = "total_s"):
+def _total(metrics: pd.DataFrame, algo: str):
     """Summed time for one algorithm, or ``"INF(k/n)"`` when k of the n
     queries exhausted the enumeration budget (the paper's 12-hour cutoff)."""
     sub = metrics[metrics["algo"] == algo]
@@ -70,86 +62,66 @@ def _total(metrics: pd.DataFrame, algo: str, col: str = "total_s"):
     n_inf = int(sub["inf"].sum())
     if n_inf > 0:
         return f"INF({n_inf}/{len(sub)})"
-    return float(sub[col].sum())
+    return float(sub["total_s"].sum())
 
 
-def exp1_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 25,
-    seed: int = 0,
-    keys: Optional[Sequence[str]] = None,
-    **caps,
-) -> List[dict]:
+def grid_rows(algos: Sequence[str], row: Callable[..., dict]):
+    """A rows function: on every cell of the plan it runs the (query ×
+    algorithm) grid of ``algos``, distributed across queries when ``spark``
+    is given, and makes one row of it with ``row(key, θ, metrics)``."""
+
+    def rows(
+        *, plan: Plan, scale, n_queries: int, seed: int = 0,
+        spark: Optional[SparkSession] = None,
+    ) -> List[dict]:
+        out = []
+        for key, theta, pdf, adj, queries in _workloads(
+            plan, scale=scale, n_queries=n_queries, seed=seed
+        ):
+            if spark is not None:
+                m = run_workload_spark(spark, pdf, queries, algos)
+            else:
+                m = run_workload_local(adj, queries, algos)
+            out.append(row(key, theta, m))
+        return out
+
+    return rows
+
+
+def _ep_totals(m: pd.DataFrame) -> dict:
+    return {f"{a}_s": _total(m, a) for a in _EP_ALGOS}
+
+
+def _exp1(key, theta, m):
     """Exp-1 (Fig 5): total response time of the 4 algorithms per dataset."""
-    algos = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
-    rows = []
-    for key in keys or DATASET_KEYS:
-        spec = DATASETS[key]
-        pdf, adj, queries = _workload(
-            key, scale=scale, n_queries=n_queries, theta=None, seed=seed
-        )
-        m = _run(spark, pdf, adj, queries, algos, **caps)
-        rows.append(
-            {
-                "key": key,
-                "theta": spec.theta,
-                "n_queries": len(queries),
-                "EPdtTSG_s": _total(m, "EPdtTSG"),
-                "EPesTSG_s": _total(m, "EPesTSG"),
-                "EPtgTSG_s": _total(m, "EPtgTSG"),
-                "VUG_s": _total(m, "VUG"),
-                "paper_note": (
-                    "paper: baselines INF, VUG 78s" if key == "D8"
-                    else "paper: baselines INF, VUG 208s" if key == "D9"
-                    else ""
-                ),
-            }
-        )
-    return rows
+    return {
+        "key": key,
+        "theta": theta,
+        "n_queries": int(m["qid"].nunique()),
+        **_ep_totals(m),
+        "paper_note": (
+            "paper: baselines INF, VUG 78s" if key == "D8"
+            else "paper: baselines INF, VUG 208s" if key == "D9"
+            else ""
+        ),
+    }
 
 
-def exp2_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 15,
-    seed: int = 0,
-    sweeps: Optional[Dict[str, Sequence[int]]] = None,
-    **caps,
-) -> List[dict]:
-    """Exp-2 (Fig 6/14): total response time varying θ (default D1, D9)."""
-    algos = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
-    if sweeps is None:
-        sweeps = {"D1": [6, 8, 10, 12], "D9": [16, 18, 20, 22, 24]}
-    rows = []
-    for key, thetas in sweeps.items():
-        for theta in thetas:
-            pdf, adj, queries = _workload(
-                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-            )
-            m = _run(spark, pdf, adj, queries, algos, **caps)
-            rows.append(
-                {
-                    "key": key,
-                    "theta": theta,
-                    "EPdtTSG_s": _total(m, "EPdtTSG"),
-                    "EPesTSG_s": _total(m, "EPesTSG"),
-                    "EPtgTSG_s": _total(m, "EPtgTSG"),
-                    "VUG_s": _total(m, "VUG"),
-                }
-            )
-    return rows
+def _exp2(key, theta, m):
+    """Exp-2 (Fig 6/14): total response time varying θ."""
+    return {"key": key, "theta": theta, **_ep_totals(m)}
+
+
+exp1_rows = grid_rows(_EP_ALGOS, _exp1)
+exp2_rows = grid_rows(_EP_ALGOS, _exp2)
 
 
 def exp3_rows(
     *,
-    scale="bench",
-    n_queries: int = 10,
+    plan: Plan,
+    scale,
+    n_queries: int,
     seed: int = 0,
-    keys: Optional[Sequence[str]] = None,
-    algos: Sequence[str] = ("VUG", "EPdtTSG"),
     max_expansions: int = 200_000,
 ) -> List[dict]:
     """Exp-3 (Fig 7): per-query peak memory, max and min over the workload.
@@ -165,11 +137,10 @@ def exp3_rows(
     from repro.core.vug import vug_local
 
     rows = []
-    for key in keys or DATASET_KEYS:
-        pdf, adj, queries = _workload(
-            key, scale=scale, n_queries=n_queries, theta=None, seed=seed
-        )
-        for algo in algos:
+    for key, _, _, adj, queries in _workloads(
+        plan, scale=scale, n_queries=n_queries, seed=seed
+    ):
+        for algo in ("VUG", "EPdtTSG"):
             peaks, n_inf = [], 0
             for q in queries:
                 tracemalloc.start()
@@ -195,150 +166,129 @@ def exp3_rows(
     return rows
 
 
-def exp4_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 25,
-    seed: int = 0,
-    keys: Optional[Sequence[str]] = None,
-    **caps,
-) -> List[dict]:
+def _exp4(key, theta, m):
     """Exp-4 (Fig 8): per-phase VUG time (QuickUBG / TightUBG / EEV)."""
-    rows = []
-    for key in keys or DATASET_KEYS:
-        pdf, adj, queries = _workload(
-            key, scale=scale, n_queries=n_queries, theta=None, seed=seed
-        )
-        m = _run(spark, pdf, adj, queries, ["VUG"], **caps)
-        quick = float(m["quick_s"].sum())
-        tight = float(m["tight_s"].sum())
-        ev = float(m["eev_s"].sum())
-        total = quick + tight + ev
-        rows.append(
-            {
-                "key": key,
-                "quick_s": quick,
-                "tight_s": tight,
-                "eev_s": ev,
-                "total_s": total,
-                "eev_pct": 100.0 * ev / total if total else float("nan"),
-            }
-        )
-    return rows
+    quick, tight, ev = (float(m[c].sum()) for c in ("quick_s", "tight_s", "eev_s"))
+    total = quick + tight + ev
+    return {
+        "key": key,
+        "quick_s": quick,
+        "tight_s": tight,
+        "eev_s": ev,
+        "total_s": total,
+        "eev_pct": 100.0 * ev / total if total else float("nan"),
+    }
 
 
-def exp5_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 25,
-    seed: int = 0,
-    keys: Optional[Sequence[str]] = None,
-    thetas: Optional[Dict[str, Sequence[int]]] = None,
-    **caps,
-) -> List[dict]:
-    """Exp-5 (Fig 9/10): tgTSG vs QuickUBG time; UB ratio under θ.
+def _exp5(key, theta, m):
+    """Exp-5 (Fig 9/10): tgTSG vs QuickUBG time and upper-bound ratios.
 
-    With ``thetas`` given (e.g. ``{"D9": [16, 20, 24]}``) produces the
-    θ-sweep rows of Fig 10/15; otherwise one default-θ row per dataset.
+    One cell per dataset gives Fig 9, a θ sweep on a dataset Fig 10/15.
     """
-    plan = (
-        [(k, None) for k in (keys or DATASET_KEYS)]
-        if thetas is None
-        else [(k, th) for k, ths in thetas.items() for th in ths]
-    )
+    tg_s = float(m["tg_s"].sum())
+    quick_s = float(m["quick_s"].sum())
+    ok = m["n_gq"] > 0
+    okt = m["n_gt"] > 0
+    return {
+        "key": key,
+        "theta": theta,
+        "tgTSG_s": tg_s,
+        "QuickUBG_s": quick_s,
+        "speedup": tg_s / quick_s if quick_s else float("nan"),
+        "quick_ratio": float((m.loc[ok, "n_tspg"] / m.loc[ok, "n_gq"] * 100).mean()),
+        "tight_ratio": float((m.loc[okt, "n_tspg"] / m.loc[okt, "n_gt"] * 100).mean()),
+    }
+
+
+def _exp6(key, theta, m):
+    """Exp-6 (Fig 11/16): EEV vs path enumeration, both on Gt."""
+    enum_s = float(m["enum_s"].sum())
+    eev_s = float(m["eev_s"].sum())
+    return {
+        "key": key,
+        "theta": theta,
+        "enum_on_gt_s": enum_s,
+        "eev_s": eev_s,
+        "speedup": enum_s / eev_s if eev_s else float("nan"),
+        "enum_inf": int(m["inf"].sum()),
+    }
+
+
+def _exp7(key, theta, m):
+    """Exp-7 (Fig 12/17): #edges vs #temporal simple paths in the tspG."""
+    return {
+        "key": key,
+        "theta": theta,
+        "tspg_edges": int(m["n_tspg"].sum()),
+        "tspg_paths": int(m["n_paths"].sum()),
+        "paths_capped": int(m["paths_capped"].sum()),
+    }
+
+
+exp4_rows = grid_rows(["VUG"], _exp4)
+exp5_rows = grid_rows(["RATIOS"], _exp5)
+exp6_rows = grid_rows(["EXP6"], _exp6)
+exp7_rows = grid_rows(["COUNT"], _exp7)
+
+
+def exp8_rows(*, seed: int = 0) -> List[dict]:
+    """Exp-8 (Fig 13): case study on a synthetic transit schedule.
+
+    The paper queries SFMTA GTFS data ("Silver Ave" -> "30th St",
+    [9:20, 9:30]) and reports a tspG of 8 stops / 17 trips.  We run the same
+    mechanics on the synthetic schedule: one ~10-minute morning query for
+    each of five seeds, reporting stops/trips of the resulting tspG.
+    """
+    from repro.core.vug import vug_local
+    from repro.graph.generators import transit_schedule_pdf
+
+    adj = TemporalAdjacency(pdf_to_edge_list(transit_schedule_pdf(seed=7)))
     rows = []
-    for key, theta in plan:
-        spec = DATASETS[key]
-        pdf, adj, queries = _workload(
-            key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-        )
-        m = _run(spark, pdf, adj, queries, ["RATIOS"], **caps)
-        tg_s = float(m["tg_s"].sum())
-        quick_s = float(m["quick_s"].sum())
-        ok = m["n_gq"] > 0
-        quick_ratio = float(
-            (m.loc[ok, "n_tspg"] / m.loc[ok, "n_gq"] * 100).mean()
-        )
-        okt = m["n_gt"] > 0
-        tight_ratio = float(
-            (m.loc[okt, "n_tspg"] / m.loc[okt, "n_gt"] * 100).mean()
-        )
+    for s in range(seed, seed + 5):
+        q = generate_queries(adj, theta=11, n_queries=1, seed=s)[0]
+        res = vug_local(adj, q)
         rows.append(
             {
-                "key": key,
-                "theta": theta or spec.theta,
-                "tgTSG_s": tg_s,
-                "QuickUBG_s": quick_s,
-                "speedup": tg_s / quick_s if quick_s else float("nan"),
-                "quick_ratio": quick_ratio,
-                "tight_ratio": tight_ratio,
+                "seed": s,
+                "s": q.s,
+                "t": q.t,
+                "window": f"[{q.tb // 60}:{q.tb % 60:02d},"
+                f" {q.te // 60}:{q.te % 60:02d}]",
+                "stops": len(res.vertices),
+                "trips": len(res.edges),
             }
         )
     return rows
 
 
-def exp6_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 25,
-    seed: int = 0,
-    sweeps: Optional[Dict[str, Sequence[int]]] = None,
-    **caps,
+def dataflow_rows(
+    *, spark: SparkSession, plan: Plan, scale, seed: int = 0
 ) -> List[dict]:
-    """Exp-6 (Fig 11/16): EEV vs path enumeration, both on Gt."""
-    if sweeps is None:
-        sweeps = {"D1": [DATASETS["D1"].theta], "D8": [8, 10, 12]}
-    rows = []
-    for key, thetas in sweeps.items():
-        for theta in thetas:
-            pdf, adj, queries = _workload(
-                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-            )
-            m = _run(spark, pdf, adj, queries, ["EXP6"], **caps)
-            enum_s = float(m["enum_s"].sum())
-            eev_s = float(m["eev_s"].sum())
-            rows.append(
-                {
-                    "key": key,
-                    "theta": theta,
-                    "enum_on_gt_s": enum_s,
-                    "eev_s": eev_s,
-                    "speedup": enum_s / eev_s if eev_s else float("nan"),
-                    "enum_inf": int(m["inf"].sum()),
-                }
-            )
-    return rows
+    """One query per cell through the Spark VUG pipeline.
 
+    ``vug_dataflow`` takes the edge DataFrame, projects the θ-window in
+    Spark, collects it and runs the VUG kernel on it; each answer is
+    cross-checked against the kernel on the whole graph.
+    """
+    from repro.core.vug import vug_dataflow, vug_local
+    from repro.graph.schema import edges_to_spark, spark_edges_to_list
 
-def exp7_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 25,
-    seed: int = 0,
-    sweeps: Optional[Dict[str, Sequence[int]]] = None,
-    **caps,
-) -> List[dict]:
-    """Exp-7 (Fig 12/17): #edges vs #temporal simple paths in the tspG."""
-    if sweeps is None:
-        sweeps = {"D1": [6, 8, 10], "D8": [8, 10, 12]}
     rows = []
-    for key, thetas in sweeps.items():
-        for theta in thetas:
-            pdf, adj, queries = _workload(
-                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-            )
-            m = _run(spark, pdf, adj, queries, ["COUNT"], **caps)
-            rows.append(
-                {
-                    "key": key,
-                    "theta": theta,
-                    "tspg_edges": int(m["n_tspg"].sum()),
-                    "tspg_paths": int(m["n_paths"].sum()),
-                    "paths_capped": int(m["paths_capped"].sum()),
-                }
-            )
+    for key, _, pdf, adj, (q,) in _workloads(
+        plan, scale=scale, n_queries=1, seed=seed
+    ):
+        got = spark_edges_to_list(
+            vug_dataflow(spark, edges_to_spark(spark, pdf), q)
+        )
+        rows.append(
+            {
+                "key": key,
+                "s": q.s,
+                "t": q.t,
+                "tb": q.tb,
+                "te": q.te,
+                "tspg_edges": len(got),
+                "matches_kernel": got == vug_local(adj, q).edges,
+            }
+        )
     return rows

@@ -1,22 +1,18 @@
 """TABLE I and TABLE II harnesses.
 
 Each function returns a list of row dicts pairing the paper's reported
-value with our measured value; jobs print them and EXPERIMENTS.md records a
-full run.
+value with our measured value, one row per ``(dataset key, θ)`` cell of
+its plan; ``jobs/run.py`` prints them and EXPERIMENTS.md records a full run.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.experiments.paper_numbers import PAPER_TABLE2
-from repro.experiments.runner import run_workload_local, run_workload_spark
-from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.datasets import DATASET_KEYS, DATASETS, make_dataset, measured_stats
-from repro.graph.schema import pdf_to_edge_list
-from repro.workload import generate_queries
+from repro.experiments.perf import Plan, grid_rows
+from repro.graph.datasets import DATASETS, make_dataset, measured_stats
 
 TABLE1_COLUMNS = [
     "key", "name", "paper_n", "paper_m", "paper_T", "paper_d", "theta",
@@ -30,12 +26,10 @@ TABLE2_COLUMNS = [
 ]
 
 
-def table1_rows(
-    *, scale="bench", seed: int = 0, keys: Optional[Sequence[str]] = None
-) -> List[dict]:
+def table1_rows(*, plan: Plan, scale, seed: int = 0) -> List[dict]:
     """TABLE I: paper dataset statistics vs our scaled synthetic stand-ins."""
     rows = []
-    for key in keys or DATASET_KEYS:
+    for key, theta in plan:
         spec = DATASETS[key]
         stats = measured_stats(make_dataset(key, scale=scale, seed=seed))
         rows.append(
@@ -46,7 +40,7 @@ def table1_rows(
                 "paper_m": spec.m,
                 "paper_T": spec.n_ts,
                 "paper_d": spec.d,
-                "theta": spec.theta,
+                "theta": theta,
                 "our_n": stats["n"],
                 "our_m": stats["m"],
                 "our_T": stats["n_ts"],
@@ -66,48 +60,27 @@ def _ratio(metrics: pd.DataFrame, ub_col: str) -> float:
     return float((tspg[ok] / ub[ok] * 100.0).mean())
 
 
-def table2_rows(
-    spark: Optional[SparkSession] = None,
-    *,
-    scale="bench",
-    n_queries: int = 25,
-    seed: int = 0,
-    keys: Optional[Sequence[str]] = None,
-    theta: Optional[int] = None,
-) -> List[dict]:
+def _table2(key, theta, metrics):
     """TABLE II: average upper-bound ratio of the five reduction methods.
 
-    Runs the RATIOS workload (all five upper-bound graphs + exact tspG per
-    query) on each dataset; distributed across queries when ``spark`` is
-    given, sequential otherwise.
+    From the RATIOS workload: all five upper-bound graphs and the exact
+    tspG per query.
     """
-    rows = []
-    for key in keys or DATASET_KEYS:
-        spec = DATASETS[key]
-        pdf = make_dataset(key, scale=scale, seed=seed)
-        adj = TemporalAdjacency(pdf_to_edge_list(pdf))
-        queries = generate_queries(
-            adj, theta=theta or spec.theta, n_queries=n_queries, seed=seed + 17
-        )
-        if spark is not None:
-            metrics = run_workload_spark(spark, pdf, queries, ["RATIOS"])
-        else:
-            metrics = run_workload_local(adj, queries, ["RATIOS"])
-        p = {m: PAPER_TABLE2[m].get(key) for m in PAPER_TABLE2}
-        rows.append(
-            {
-                "key": key,
-                "n_queries": len(queries),
-                "dt_ours": _ratio(metrics, "n_dt"),
-                "dt_paper": p["dtTSG"],
-                "es_ours": _ratio(metrics, "n_es"),
-                "es_paper": p["esTSG"],
-                "tg_ours": _ratio(metrics, "n_tg"),
-                "tg_paper": p["tgTSG"],
-                "quick_ours": _ratio(metrics, "n_gq"),
-                "quick_paper": p["QuickUBG"],
-                "tight_ours": _ratio(metrics, "n_gt"),
-                "tight_paper": p["TightUBG"],
-            }
-        )
-    return rows
+    p = {m: PAPER_TABLE2[m].get(key) for m in PAPER_TABLE2}
+    return {
+        "key": key,
+        "n_queries": int(metrics["qid"].nunique()),
+        "dt_ours": _ratio(metrics, "n_dt"),
+        "dt_paper": p["dtTSG"],
+        "es_ours": _ratio(metrics, "n_es"),
+        "es_paper": p["esTSG"],
+        "tg_ours": _ratio(metrics, "n_tg"),
+        "tg_paper": p["tgTSG"],
+        "quick_ours": _ratio(metrics, "n_gq"),
+        "quick_paper": p["QuickUBG"],
+        "tight_ours": _ratio(metrics, "n_gt"),
+        "tight_paper": p["TightUBG"],
+    }
+
+
+table2_rows = grid_rows(["RATIOS"], _table2)

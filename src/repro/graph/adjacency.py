@@ -86,10 +86,6 @@ class TemporalAdjacency:
         lo = bisect_left(self.by_time, tb, key=_TS)
         return self.by_time[lo:bisect_right(self.by_time, te, lo, key=_TS)]
 
-    def window(self, tb: int, te: int) -> "TemporalAdjacency":
-        """Adjacency of the projected graph within ``[tb, te]``."""
-        return TemporalAdjacency(self.slice(tb, te))
-
 
 def time_reversed(edges: List[Edge]) -> Iterator[Edge]:
     """Edges ``(v, u, −τ)`` of a τ-ascending list, in ascending key: a path

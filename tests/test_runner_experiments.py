@@ -39,6 +39,8 @@ METRIC_DTYPES = [
     ("n_tg", "int64"),
 ]
 ALL_ALGOS = ["VUG", "EPdtTSG", "EPesTSG", "EPtgTSG", "RATIOS", "EXP6", "COUNT"]
+# One cell: D1 at its default θ.
+D1 = [("D1", DATASETS["D1"].theta)]
 
 
 @pytest.fixture(scope="module")
@@ -159,14 +161,14 @@ class TestWorkloadRunners:
 
 class TestTables:
     def test_table1_rows(self):
-        rows = table1_rows(scale="test", keys=["D1", "D2"])
+        rows = table1_rows(plan=[("D1", 10), ("D2", 20)], scale="test")
         assert [r["key"] for r in rows] == ["D1", "D2"]
         r = rows[0]
         assert r["paper_n"] == 1005 and r["our_m"] > 200
         assert r["theta"] == 10
 
     def test_table2_rows_local(self):
-        rows = table2_rows(None, scale="test", n_queries=3, keys=["D1"])
+        rows = table2_rows(plan=D1, scale="test", n_queries=3)
         r = rows[0]
         # measured ratio ordering mirrors the paper's
         assert r["dt_ours"] <= r["es_ours"] + 1e-9
@@ -177,28 +179,28 @@ class TestTables:
         assert r["tight_paper"] == PAPER_TABLE2["TightUBG"]["D1"]
 
     def test_table2_rows_spark(self, spark):
-        rows = table2_rows(spark, scale="test", n_queries=2, keys=["D8"])
+        rows = table2_rows(
+            spark=spark, plan=[("D8", 10)], scale="test", n_queries=2
+        )
         assert rows[0]["key"] == "D8"
         assert rows[0]["n_queries"] == 2
 
 
 class TestPerfHarnesses:
     def test_exp1(self):
-        rows = exp1_rows(scale="test", n_queries=2, keys=["D1"])
+        rows = exp1_rows(plan=D1, scale="test", n_queries=2)
         r = rows[0]
         assert r["VUG_s"] and r["VUG_s"] > 0
         assert r["theta"] == DATASETS["D1"].theta
 
     def test_exp2(self):
-        rows = exp2_rows(
-            scale="test", n_queries=2, sweeps={"D1": [4, 6]}
-        )
+        rows = exp2_rows(plan=[("D1", 4), ("D1", 6)], scale="test", n_queries=2)
         assert [r["theta"] for r in rows] == [4, 6]
 
     def test_exp3(self):
         from repro.experiments.perf import exp3_rows
 
-        rows = exp3_rows(scale="test", n_queries=3, keys=["D1"],
+        rows = exp3_rows(plan=D1, scale="test", n_queries=3,
                          max_expansions=50_000)
         assert {r["algo"] for r in rows} == {"VUG", "EPdtTSG"}
         for r in rows:
@@ -206,7 +208,7 @@ class TestPerfHarnesses:
             assert r["spread"] >= 1
 
     def test_exp4(self):
-        rows = exp4_rows(scale="test", n_queries=2, keys=["D1"])
+        rows = exp4_rows(plan=D1, scale="test", n_queries=2)
         r = rows[0]
         assert r["total_s"] == pytest.approx(
             r["quick_s"] + r["tight_s"] + r["eev_s"]
@@ -214,21 +216,21 @@ class TestPerfHarnesses:
         assert 0 <= r["eev_pct"] <= 100
 
     def test_exp5_default(self):
-        rows = exp5_rows(scale="test", n_queries=2, keys=["D1"])
+        rows = exp5_rows(plan=D1, scale="test", n_queries=2)
         r = rows[0]
         assert r["tgTSG_s"] > 0 and r["QuickUBG_s"] > 0
         assert 0 < r["quick_ratio"] <= r["tight_ratio"] + 1e-9 <= 100 + 1e-9
 
     def test_exp5_sweep(self):
-        rows = exp5_rows(scale="test", n_queries=2, thetas={"D1": [6, 8]})
+        rows = exp5_rows(plan=[("D1", 6), ("D1", 8)], scale="test", n_queries=2)
         assert [r["theta"] for r in rows] == [6, 8]
 
     def test_exp6(self):
-        rows = exp6_rows(scale="test", n_queries=2, sweeps={"D1": [8]})
+        rows = exp6_rows(plan=[("D1", 8)], scale="test", n_queries=2)
         assert rows[0]["eev_s"] > 0 and rows[0]["enum_on_gt_s"] > 0
 
     def test_exp7(self):
-        rows = exp7_rows(scale="test", n_queries=2, sweeps={"D1": [8]})
+        rows = exp7_rows(plan=[("D1", 8)], scale="test", n_queries=2)
         r = rows[0]
         assert r["tspg_paths"] >= r["tspg_edges"] * 0  # defined, non-negative
         assert r["tspg_edges"] >= 0

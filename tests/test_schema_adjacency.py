@@ -82,10 +82,6 @@ class TestAdjacency:
         adj = TemporalAdjacency([(2, 1, 3), (3, 1, 4), (4, 1, 5)])
         assert adj.max_degree() == 3
 
-    def test_window(self):
-        adj = TemporalAdjacency([(1, 2, 3), (2, 3, 9)])
-        assert adj.window(1, 5).edges == [(1, 2, 3)]
-
     def test_slice_is_tau_ordered_and_inclusive(self):
         adj = TemporalAdjacency([(3, 1, 5), (1, 2, 5), (2, 3, 9), (4, 1, 2)])
         assert adj.edges == [(1, 2, 5), (2, 3, 9), (3, 1, 5), (4, 1, 2)]

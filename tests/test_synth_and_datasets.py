@@ -1,9 +1,8 @@
-"""Generators, dataset catalog, and the provided TPC-H-lite tables."""
+"""Generators and the dataset catalog."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.datasets import (
     DATASET_KEYS,
@@ -121,17 +120,3 @@ class TestTransitSchedule:
         # hub stops (ids < n_hubs) must have both in and out edges
         hubs = [h for h in range(6) if adj.out_edges(h) and adj.in_edges(h)]
         assert hubs, "expected at least one connected hub stop"
-
-
-class TestProvidedTables:
-    """The Spark edge-table wrappers in ``repro.synth_data``."""
-
-    def test_temporal_edges_wrapper(self, spark):
-        df = synth_data.temporal_edges(spark, n=30, m=200, n_ts=10, seed=1)
-        assert df.columns == EDGE_COLUMNS
-        assert 0 < df.count() <= 200
-
-    def test_paper_dataset_wrapper(self, spark):
-        df = synth_data.paper_dataset(spark, "D1", scale="test", seed=0)
-        assert df.columns == EDGE_COLUMNS
-        assert df.count() > 200
